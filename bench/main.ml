@@ -18,8 +18,7 @@
    `--json FILE` writes the per-kernel estimates as JSON (the seed for
    the BENCH_* perf trajectory);
    `--simnet-json FILE` writes the packet-engine throughput rows
-   (events/sec and minor words/event for the structure-of-arrays engine
-   vs the boxed seed baseline) as JSON;
+   (events/sec and minor words/event) as JSON;
    `--simnet-only` runs just the packet-engine throughput suite (the
    fast way to regenerate the committed BENCH_simnet.json);
    `--kernels-only` runs just the Bechamel kernel suite (the fast way to

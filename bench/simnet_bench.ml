@@ -1,15 +1,12 @@
 (* Packet-engine throughput suite.
 
-   Measures the structure-of-arrays engine stack against the seed
-   implementation preserved in [Boxed_baseline], scenario by scenario:
-
-   - simnet_engine / simnet_engine_boxed: the headline incast fan-in
-     forwarding scenario (4096 staggered feeders through one switch),
-     where the pending-event set is deep enough that the unboxed
-     event-queue layout and the packet pool dominate;
-   - simnet_runner / simnet_runner_boxed: the full closed-loop dumbbell
-     (sources, BCN/PAUSE control, trace sampling) in the busy regime;
-   - eventq_push_pop / eventq_boxed_push_pop: the queue in isolation;
+   - simnet_engine: the incast fan-in forwarding scenario (4096
+     staggered feeders through one switch), where the pending-event set
+     is deep enough that the unboxed event-queue layout and the packet
+     pool dominate;
+   - simnet_runner / simnet_rcp: the full closed loops (sources,
+     control, trace sampling) in the busy regime;
+   - eventq_push_pop / eventq_heap_churn_*: the queue in isolation;
    - switch_forwarding: minor words per frame on the pooled fast path.
 
    Reports events/sec and minor-heap words/event; [rows] feeds the
@@ -24,7 +21,7 @@ let metric row key =
   match List.assoc_opt key row.metrics with Some v -> v | None -> nan
 
 (* ------------------------------------------------------------------ *)
-(* Headline scenario: incast fan-in forwarding, new stack vs seed      *)
+(* Incast fan-in forwarding                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* [fanin_sources] staggered feeders pace pool-allocated frames through
@@ -32,9 +29,8 @@ let metric row key =
    above line rate. With thousands of concurrent feeders the pending-
    event set is large, which is where the engine's data layout earns its
    keep: the structure-of-arrays heap sifts through contiguous unboxed
-   keys while the seed heap chases a pointer per comparison, and the
-   packet pool keeps the frame churn off the minor heap entirely.
-   [Boxed_baseline.run_fanin] is the same scenario on the seed stack. *)
+   keys, and the packet pool keeps the frame churn off the minor heap
+   entirely. *)
 let fanin_sources = 4096
 
 let pooled_fanin ~frames () =
@@ -77,16 +73,12 @@ let pooled_fanin ~frames () =
     e;
   Simnet.Engine.events_processed e
 
-let boxed_fanin ~frames () =
-  Boxed_baseline.run_fanin ~nsrc:fanin_sources ~frames params
-
 (* ------------------------------------------------------------------ *)
-(* Full dumbbell runs (Runner.run vs seed replica), busy regime        *)
+(* Full closed-loop runs, busy regime                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Start the sources at the equilibrium rate so the run is frame-dense
-   from t = 0 rather than idling at the 2% probe rate; both stacks see
-   the identical event sequence. *)
+   from t = 0 rather than idling at the 2% probe rate. *)
 let pooled_events ~t_end () =
   let cfg =
     {
@@ -95,12 +87,6 @@ let pooled_events ~t_end () =
     }
   in
   (Simnet.Runner.run cfg).Simnet.Runner.events_processed
-
-let boxed_events ~t_end () =
-  (Boxed_baseline.run
-     ~initial_rate:(Fluid.Params.equilibrium_rate params)
-     ~t_end ~sample_dt:1e-4 params)
-    .Boxed_baseline.events
 
 (* The RCP loop on the same pooled engine: rate-paced sources, one
    switch, a rate frame per flow per control interval. Started at the
@@ -154,17 +140,6 @@ let soa_round q keys =
     ignore (Simnet.Eventq.pop_min q : int)
   done
 
-let boxed_round q keys =
-  for i = 0 to Array.length keys - 1 do
-    Simnet.Eventq_boxed.push q keys.(i) 0
-  done;
-  let continue = ref true in
-  while !continue do
-    match Simnet.Eventq_boxed.pop q with
-    | None -> continue := false
-    | Some (_, _) -> ()
-  done
-
 (* One op = one push plus its pop. *)
 let measure_queue ~min_time round =
   let keys = bench_keys 4096 in
@@ -182,63 +157,43 @@ let measure_queue ~min_time round =
   (dt /. n *. 1e9, dw /. n)
 
 (* ------------------------------------------------------------------ *)
-(* Heap vs calendar queue: steady-state churn at fixed populations     *)
+(* Heap churn at fixed populations                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The engine's actual access pattern is hold-and-churn: a pending set
    of roughly constant size where every pop of the minimum schedules a
-   successor a short gap in the future. That is the regime where a
-   calendar queue's O(1)-amortized buckets could beat the heap's
-   O(log n) sift — so the race is run at several hold sizes, from the
-   engine-typical tens of events up to the incast fan-in thousands.
-   [Eventq] and [Eventq_calendar] share a signature, so one churn loop
-   serves both; the first-class-module boundary boxes the float keys
-   (~6 minor words/op), identically on both sides, so the words columns
-   compare structure-owned allocation only as deltas from that floor.
-
-   Committed verdict (BENCH_simnet.json): the heap wins decisively at
-   the engine-typical population (hold 16), ties at 256 and gives up
-   ~20% at 4096 while the calendar pays resize churn — so the engine
-   keeps {!Simnet.Eventq}. *)
-module type QUEUE = sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> float -> 'a -> unit
-  val pop_min : 'a t -> 'a
-  val min_key : 'a t -> float
-  val is_empty : 'a t -> bool
-end
-
+   successor a short gap in the future. Run at several hold sizes, from
+   the engine-typical tens of events up to the incast fan-in
+   thousands. *)
 let churn_rounds = 50_000
 
-let churn (module Q : QUEUE) ~hold =
-  let q = Q.create () in
+let churn ~hold =
+  let q = Simnet.Eventq.create () in
   let state = ref 123456789 in
   let gap () =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
     float_of_int !state /. 1073741824.
   in
   for _ = 1 to hold do
-    Q.push q (gap ()) 0
+    Simnet.Eventq.push q (gap ()) 0
   done;
   for _ = 1 to churn_rounds do
-    let k = Q.min_key q in
-    ignore (Q.pop_min q : int);
-    Q.push q (k +. gap ()) 0
+    let k = Simnet.Eventq.min_key q in
+    ignore (Simnet.Eventq.pop_min q : int);
+    Simnet.Eventq.push q (k +. gap ()) 0
   done;
-  while not (Q.is_empty q) do
-    ignore (Q.pop_min q : int)
+  while not (Simnet.Eventq.is_empty q) do
+    ignore (Simnet.Eventq.pop_min q : int)
   done
 
 (* One op = one min_key + pop_min + push at steady state. *)
-let measure_churn ~min_time (module Q : QUEUE) ~hold =
-  churn (module Q) ~hold;
+let measure_churn ~min_time ~hold =
+  churn ~hold;
   let t0 = Unix.gettimeofday () in
   let w0 = Gc.minor_words () in
   let ops = ref 0 in
   while Unix.gettimeofday () -. t0 < min_time || !ops = 0 do
-    churn (module Q) ~hold;
+    churn ~hold;
     ops := !ops + churn_rounds
   done;
   let dt = Unix.gettimeofday () -. t0 in
@@ -246,34 +201,15 @@ let measure_churn ~min_time (module Q : QUEUE) ~hold =
   let n = float_of_int !ops in
   (dt /. n *. 1e9, dw /. n)
 
-let churn_holds = [ 16; 256; 4096 ]
-
 let churn_rows ~min_time () =
-  List.concat_map
+  List.map
     (fun hold ->
-      let heap_ns, heap_words =
-        measure_churn ~min_time (module Simnet.Eventq : QUEUE) ~hold
-      in
-      let cal_ns, cal_words =
-        measure_churn ~min_time (module Simnet.Eventq_calendar : QUEUE) ~hold
-      in
-      [
-        {
-          name = Printf.sprintf "eventq_heap_churn_%d" hold;
-          metrics =
-            [ ("ns_per_op", heap_ns); ("minor_words_per_op", heap_words) ];
-        };
-        {
-          name = Printf.sprintf "eventq_calendar_churn_%d" hold;
-          metrics =
-            [
-              ("ns_per_op", cal_ns);
-              ("minor_words_per_op", cal_words);
-              ("heap_over_calendar", heap_ns /. cal_ns);
-            ];
-        };
-      ])
-    churn_holds
+      let ns, words = measure_churn ~min_time ~hold in
+      {
+        name = Printf.sprintf "eventq_heap_churn_%d" hold;
+        metrics = [ ("ns_per_op", ns); ("minor_words_per_op", words) ];
+      })
+    [ 16; 256; 4096 ]
 
 (* ------------------------------------------------------------------ *)
 (* Forwarding fast path: words per data frame through a pooled switch  *)
@@ -671,19 +607,11 @@ let rows ~min_time ~t_end () =
   let eng_eps, eng_words =
     measure_events ~min_time (pooled_fanin ~frames:200_000)
   in
-  let box_eps, box_words =
-    measure_events ~min_time (boxed_fanin ~frames:200_000)
-  in
   let run_eps, run_words = measure_events ~min_time (pooled_events ~t_end) in
-  let brun_eps, brun_words = measure_events ~min_time (boxed_events ~t_end) in
   let rcp_eps, rcp_words = measure_events ~min_time (rcp_events ~t_end) in
   let soa_ns, soa_words =
     measure_queue ~min_time:(0.5 *. min_time)
       (soa_round (Simnet.Eventq.create ()))
-  in
-  let boxed_ns, boxed_words =
-    measure_queue ~min_time:(0.5 *. min_time)
-      (boxed_round (Simnet.Eventq_boxed.create ()))
   in
   let churn = churn_rows ~min_time:(0.25 *. min_time) () in
   let fwd_words = forwarding_words_per_frame ~frames:100_000 () in
@@ -697,23 +625,9 @@ let rows ~min_time ~t_end () =
         [ ("events_per_sec", eng_eps); ("minor_words_per_event", eng_words) ];
     };
     {
-      name = "simnet_engine_boxed";
-      metrics =
-        [ ("events_per_sec", box_eps); ("minor_words_per_event", box_words) ];
-    };
-    {
-      name = "speedup_vs_boxed";
-      metrics = [ ("ratio", eng_eps /. box_eps) ];
-    };
-    {
       name = "simnet_runner";
       metrics =
         [ ("events_per_sec", run_eps); ("minor_words_per_event", run_words) ];
-    };
-    {
-      name = "simnet_runner_boxed";
-      metrics =
-        [ ("events_per_sec", brun_eps); ("minor_words_per_event", brun_words) ];
     };
     {
       name = "simnet_rcp";
@@ -723,11 +637,6 @@ let rows ~min_time ~t_end () =
     {
       name = "eventq_push_pop";
       metrics = [ ("ns_per_op", soa_ns); ("minor_words_per_op", soa_words) ];
-    };
-    {
-      name = "eventq_boxed_push_pop";
-      metrics =
-        [ ("ns_per_op", boxed_ns); ("minor_words_per_op", boxed_words) ];
     };
   ]
   @ churn

@@ -7,7 +7,7 @@ type config = {
   initial_rate : float;
   control_delay : float;
   interval : float;
-  control_channel : Runner.control_channel option;
+  control_channel : Loop.control_channel option;
 }
 
 let default_config ?(t_end = 0.02) ?(sample_dt = 1e-5) (p : Fluid.Params.t) =
@@ -33,45 +33,23 @@ type result = {
 }
 
 let run cfg =
-  if cfg.t_end <= 0. then invalid_arg "E2cm.run: t_end <= 0";
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
   let c = p.Fluid.Params.capacity in
-  let e = Engine.create () in
-  let fifo = Fifo.create ~capacity_bits:p.Fluid.Params.buffer in
-  let busy = ref false in
-  let delivered = ref 0. in
+  let l =
+    Loop.create ?channel:cfg.control_channel ~name:"E2cm" ~t_end:cfg.t_end
+      ~sample_dt:cfg.sample_dt ~control_delay:cfg.control_delay ()
+  in
   let messages = ref 0 in
   let rates = Array.make n cfg.initial_rate in
   (* congestion-point state: BCN sampling + an interval fair-share
      estimate from the active-flow count *)
-  let arrivals = ref 0 in
-  let sample_every =
-    Stdlib.max 1 (int_of_float (Float.round (1. /. p.Fluid.Params.pm)))
-  in
-  let q_old = ref 0. in
   let active = Array.make n false in
   let fair_share = ref (c /. float_of_int n) in
-  let rec fair_cycle e =
-    let count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 active in
-    if count > 0 then fair_share := 0.95 *. c /. float_of_int count;
-    Array.fill active 0 n false;
-    Engine.schedule e ~delay:cfg.interval fair_cycle
-  in
-  Engine.schedule e ~delay:cfg.interval fair_cycle;
-  let rec serve e =
-    if not !busy then
-      match Fifo.dequeue fifo with
-      | None -> ()
-      | Some pkt ->
-          busy := true;
-          Engine.schedule e
-            ~delay:(float_of_int pkt.Packet.bits /. c)
-            (fun e ->
-              busy := false;
-              delivered := !delivered +. float_of_int pkt.Packet.bits;
-              serve e)
-  in
+  Loop.every l cfg.interval (fun _e ->
+      let count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 active in
+      if count > 0 then fair_share := 0.95 *. c /. float_of_int count;
+      Array.fill active 0 n false);
   (* the hybrid reaction law: BCN AIMD with the advertised fair share
      capping the additive increase *)
   let react flow sigma er =
@@ -87,105 +65,30 @@ let run cfg =
              (rates.(flow) *. (1. +. (p.Fluid.Params.gd *. sigma)))
              er)
   in
-  (* Feedback leaves the switch either as a direct scheduled reaction
-     (the historical, allocation-free path) or — when a fault channel is
-     interposed — as a synthesized BCN frame carrying [fb = sigma], so
-     loss/delay plans classify and perturb E2CM feedback exactly like
-     BCN feedback. [None] and a pass-through channel are event-for-event
-     identical. *)
-  let fb_seq = ref 0 in
-  let feedback e flow sigma er =
-    match cfg.control_channel with
-    | None ->
-        Engine.schedule e ~delay:cfg.control_delay (fun _e ->
-            react flow sigma er)
-    | Some chan ->
-        let pkt =
-          Packet.make_bcn ~seq:!fb_seq ~now:(Engine.now e) ~flow ~fb:sigma
-            ~cpid:1
-        in
-        incr fb_seq;
-        chan e pkt
-          ~deliver:(fun e _pkt ->
-            Engine.schedule e ~delay:cfg.control_delay (fun _e ->
-                react flow sigma er))
-          ~drop:(fun _e _pkt -> ())
+  let sw = Loop.egress l p in
+  (* each message carries sigma, so fault plans perturb it like BCN
+     feedback; the fair share it advertises rides with the reaction *)
+  Loop.sampled p sw (fun e flow sigma ->
+      if sigma <> 0. then begin
+        incr messages;
+        let er = !fair_share in
+        Loop.notifier l (fun _ _ _ -> react flow sigma er) e flow sigma
+      end);
+  Loop.pace l ~rates sw ~on_send:(fun i -> active.(i) <- true);
+  let tr =
+    Loop.trace l ~columns:2 (fun _e cols i ->
+        cols.(0).(i) <- Switch.queue_bits sw;
+        cols.(1).(i) <- Array.fold_left ( +. ) 0. rates)
   in
-  let receive e (pkt : Packet.t) =
-    (match pkt.Packet.kind with
-    | Packet.Data { flow; _ } ->
-        active.(flow) <- true;
-        if Fifo.enqueue fifo pkt then begin
-          incr arrivals;
-          if !arrivals mod sample_every = 0 then begin
-            let q = Fifo.occupancy_bits fifo in
-            let dq = q -. !q_old in
-            q_old := q;
-            let sigma =
-              (p.Fluid.Params.q0 -. q) -. (p.Fluid.Params.w *. dq)
-            in
-            if sigma <> 0. then begin
-              incr messages;
-              feedback e flow sigma !fair_share
-            end
-          end
-        end
-    | Packet.Bcn _ | Packet.Pause _ -> ());
-    serve e
-  in
-  let frame = float_of_int Packet.data_frame_bits in
-  let seq = ref 0 in
-  let rec pace i e =
-    if Engine.now e <= cfg.t_end then begin
-      let pkt =
-        Packet.make_data ~seq:!seq ~now:(Engine.now e) ~flow:i ~rrt:None
-      in
-      incr seq;
-      receive e pkt;
-      Engine.schedule e ~delay:(frame /. rates.(i)) (pace i)
-    end
-  in
-  for i = 0 to n - 1 do
-    let jitter = frame /. rates.(i) *. (float_of_int (i mod 97) /. 97.) in
-    Engine.schedule e ~delay:jitter (pace i)
-  done;
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let ags = Array.make n_samples 0. in
-  let idx = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Fifo.occupancy_bits fifo;
-      ags.(!idx) <- Array.fold_left ( +. ) 0. rates;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
-  in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  Loop.run l;
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut ags);
-    drops = Fifo.drops fifo;
-    delivered_bits = !delivered;
-    utilization = !delivered /. (c *. cfg.t_end);
+    queue = Loop.series tr 0;
+    agg_rate = Loop.series tr 1;
+    drops = Fifo.drops (Switch.fifo sw);
+    delivered_bits = Loop.delivered l;
+    utilization = Loop.delivered l /. (c *. cfg.t_end);
     messages = !messages;
     final_rates = Array.copy rates;
   }
 
-(* The deterministic fan-out is generated once by the shared MODEL
-   functor; [run_many] stays as the historical alias. *)
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "E2cm"
-  let run = run
-end)
-
-let run_many = Fanout.run_many
+let run_many ?jobs cfgs = Loop.run_many ~name:"E2cm" run ?jobs cfgs

@@ -15,7 +15,7 @@ type config = {
   initial_rate : float;
   control_delay : float;
   interval : float;  (** fair-share measurement window *)
-  control_channel : Runner.control_channel option;
+  control_channel : Loop.control_channel option;
       (** interposed on the feedback path; each sigma message is
           synthesized as a BCN frame carrying [fb = sigma] so
           loss/delay fault plans act on it. [None] (the default) is
@@ -37,8 +37,5 @@ type result = {
 val run : config -> result
 
 val run_many : ?jobs:int -> config array -> result array
-(** Run every config over a [Parallel.Pool] of [jobs] lanes (default
-    {!Parallel.Pool.default_size}). Results are in input order and
-    byte-identical for any [jobs] value — each run owns its engine and
-    state. [jobs = 1] runs sequentially in the caller. Raises
-    [Invalid_argument] when [jobs < 1]. *)
+(** {!run} over {!Loop.run_many}: results in input order, byte-identical
+    for any [jobs]. *)

@@ -11,10 +11,7 @@
     thin wrappers for callers that prefer the boxed API; the engine's
     hot loop uses {!min_key}/{!pop_min}. Popped and cleared slots are
     overwritten immediately so the queue never pins dead payloads
-    (e.g. callback closures) until a slot happens to be reused.
-
-    {!Eventq_boxed} preserves the original record-per-entry
-    implementation as a property-test oracle and benchmark baseline. *)
+    (e.g. callback closures) until a slot happens to be reused. *)
 
 type 'a t
 

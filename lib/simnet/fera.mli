@@ -21,7 +21,7 @@ type config = {
   control_delay : float;
   interval : float;  (** measurement/advertisement interval, seconds *)
   target_util : float;  (** ERICA's target utilization, e.g. 0.95 *)
-  control_channel : Runner.control_channel option;
+  control_channel : Loop.control_channel option;
       (** interposed on the advertisement path; each advertisement is
           synthesized as a BCN frame carrying [fb = er] so loss/delay
           fault plans act on it. [None] (the default) is event-for-event
@@ -46,8 +46,5 @@ type result = {
 val run : config -> result
 
 val run_many : ?jobs:int -> config array -> result array
-(** Run every config over a [Parallel.Pool] of [jobs] lanes (default
-    {!Parallel.Pool.default_size}). Results are in input order and
-    byte-identical for any [jobs] value — each run owns its engine and
-    state. [jobs = 1] runs sequentially in the caller. Raises
-    [Invalid_argument] when [jobs < 1]. *)
+(** {!run} over {!Loop.run_many}: results in input order, byte-identical
+    for any [jobs]. *)

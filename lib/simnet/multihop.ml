@@ -51,18 +51,19 @@ let run cfg =
     invalid_arg "Multihop.run: the second hop must be the tighter one";
   let p = cfg.params in
   let n = cfg.n_long + cfg.n_short in
-  let e = Engine.create () in
-  let delivered = ref 0. in
+  let l =
+    Loop.create ~name:"Multihop" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt
+      ~control_delay:cfg.control_delay ()
+  in
+  let e = Loop.engine l in
   let per_flow_delivered = Array.make n 0. in
   let messages = ref 0 in
-  let sources = Array.make n None in
+  let sources = ref [||] in
   let dispatch e (pkt : Packet.t) =
     match pkt.Packet.kind with
     | Packet.Bcn { flow; fb; cpid } ->
         incr messages;
-        (match sources.(flow) with
-        | Some src -> Source.handle_bcn src ~now:(Engine.now e) ~fb ~cpid
-        | None -> ())
+        Source.handle_bcn !sources.(flow) ~now:(Engine.now e) ~fb ~cpid
     | Packet.Pause _ | Packet.Data _ -> ()
   in
   (* strict CPID/RRT association (the draft's rule): positive feedback is
@@ -71,60 +72,40 @@ let run cfg =
      downstream bottleneck is trying to throttle — the multihop test
      demonstrates a 30x rate inversion if this flag is relaxed. *)
   let mk_switch ~cpid ~capacity =
-    Switch.create
+    Loop.switch l
       {
         (Switch.default_config p ~cpid) with
         Switch.capacity;
         positive_to_untagged = not cfg.strict_tagging;
         enable_pause = false;
       }
-      ~control_out:(fun e pkt ->
-        Engine.schedule e ~delay:cfg.control_delay (fun e -> dispatch e pkt))
+      ~dispatch
   in
   let sw_a = mk_switch ~cpid:1 ~capacity:cfg.c_a in
   let sw_b = mk_switch ~cpid:2 ~capacity:cfg.c_b in
   Switch.set_forward sw_a (fun e pkt -> Switch.receive sw_b e pkt);
-  Switch.set_forward sw_b (fun _e pkt ->
-      delivered := !delivered +. float_of_int pkt.Packet.bits;
+  Loop.sink l sw_b ~on_deliver:(fun _e pkt ->
       match pkt.Packet.kind with
       | Packet.Data { flow; _ } when flow < n ->
           per_flow_delivered.(flow) <-
             per_flow_delivered.(flow) +. float_of_int pkt.Packet.bits
       | Packet.Data _ | Packet.Bcn _ | Packet.Pause _ -> ());
-  for i = 0 to n - 1 do
-    let is_long = i < cfg.n_long in
-    let entry = if is_long then sw_a else sw_b in
-    let src =
-      Source.create ~id:i ~initial_rate:cfg.initial_rate
-        ~min_rate:(0.001 *. cfg.c_b) ~max_rate:cfg.c_a
-        ~mode:Source.Literal ~gi:p.Fluid.Params.gi ~gd:p.Fluid.Params.gd
-        ~ru:p.Fluid.Params.ru
-        ~send:(fun e pkt -> Switch.receive entry e pkt)
-        ()
-    in
-    sources.(i) <- Some src;
-    Source.start src e
-  done;
-  (* tracing *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qa = Array.make n_samples 0. in
-  let qb = Array.make n_samples 0. in
-  let idx = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qa.(!idx) <- Switch.queue_bits sw_a;
-      qb.(!idx) <- Switch.queue_bits sw_b;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
+  sources :=
+    Array.init n (fun id ->
+        let entry = if id < cfg.n_long then sw_a else sw_b in
+        Source.create ~id ~initial_rate:cfg.initial_rate
+          ~min_rate:(0.001 *. cfg.c_b) ~max_rate:cfg.c_a
+          ~mode:Source.Literal ~pool:(Loop.pool l) ~gi:p.Fluid.Params.gi
+          ~gd:p.Fluid.Params.gd ~ru:p.Fluid.Params.ru
+          ~send:(fun e pkt -> Switch.receive entry e pkt)
+          ());
+  Array.iter (fun src -> Source.start src e) !sources;
+  let tr =
+    Loop.trace l ~columns:2 (fun _e cols i ->
+        cols.(0).(i) <- Switch.queue_bits sw_a;
+        cols.(1).(i) <- Switch.queue_bits sw_b)
   in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  Loop.run l;
   (* goodput over the run, per flow — time-integrated, unlike the
      bang-bang instantaneous rates of literal AIMD *)
   let goodput i = per_flow_delivered.(i) /. cfg.t_end in
@@ -136,25 +117,15 @@ let run cfg =
     if ms = 0. then 1. else mean long_rates /. ms
   in
   {
-    queue_a = Series.make (cut ts) (cut qa);
-    queue_b = Series.make (cut ts) (cut qb);
+    queue_a = Loop.series tr 0;
+    queue_b = Loop.series tr 1;
     drops_a = Fifo.drops (Switch.fifo sw_a);
     drops_b = Fifo.drops (Switch.fifo sw_b);
-    utilization_b = !delivered /. (cfg.c_b *. cfg.t_end);
+    utilization_b = Loop.delivered l /. (cfg.c_b *. cfg.t_end);
     long_rates;
     short_rates;
     beatdown;
     bcn_messages = !messages;
   }
 
-(* The deterministic fan-out is generated once by the shared MODEL
-   functor; [run_many] stays as the historical alias. *)
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "Multihop"
-  let run = run
-end)
-
-let run_many = Fanout.run_many
+let run_many ?jobs cfgs = Loop.run_many ~name:"Multihop" run ?jobs cfgs

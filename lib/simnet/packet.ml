@@ -88,11 +88,12 @@ module Pool = struct
     s.arr.(s.n) <- pkt;
     s.n <- s.n + 1
 
-  let take pool (s : stack) =
+  (* the vacated slot keeps its frame: every frame belongs to the pool
+     for the run's lifetime anyway, and not clearing it saves a write
+     barrier per allocation *)
+  let take (s : stack) =
     s.n <- s.n - 1;
-    let pkt = s.arr.(s.n) in
-    s.arr.(s.n) <- pool.filler;
-    pkt
+    s.arr.(s.n)
 
   (* [@inline] keeps the [now] float unboxed at the call site on the
      pool-hit path (a non-inlined float argument would box). *)
@@ -103,11 +104,11 @@ module Pool = struct
       make_data ~seq ~now ~flow ~rrt
     end
     else begin
-      let pkt = take p p.data in
+      let pkt = take p.data in
       (match pkt.kind with
       | Data d ->
           d.flow <- flow;
-          d.rrt <- rrt
+          if d.rrt != rrt then d.rrt <- rrt
       | Bcn _ | Pause _ -> assert false);
       pkt.seq <- seq;
       pkt.stamp.born <- now;
@@ -121,7 +122,7 @@ module Pool = struct
       make_bcn ~seq ~now ~flow ~fb ~cpid
     end
     else begin
-      let pkt = take p p.bcn in
+      let pkt = take p.bcn in
       (match pkt.kind with
       | Bcn b ->
           b.flow <- flow;
@@ -140,7 +141,7 @@ module Pool = struct
       make_pause ~seq ~now ~on
     end
     else begin
-      let pkt = take p p.pause in
+      let pkt = take p.pause in
       (match pkt.kind with
       | Pause q -> q.on <- on
       | Data _ | Bcn _ -> assert false);

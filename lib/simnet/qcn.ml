@@ -44,150 +44,77 @@ let quantize ~bits ~fb_max fb =
   Float.round (clipped /. step) *. step
 
 (* QCN reaction point: multiplicative decrease on notification, then
-   byte-counter driven fast recovery / active increase. *)
+   byte-counter driven fast recovery / active increase. The current rate
+   lives in the loop's pacing array. *)
 type rp = {
-  id : int;
-  mutable rate : float;
   mutable target : float;
   mutable bc_count : float;  (* bits sent since last byte-counter expiry *)
   mutable cycles : int;  (* completed recovery cycles since last decrease *)
-  min_rate : float;
-  max_rate : float;
 }
 
-let rp_decrease rp fb_normalized =
-  (* fb_normalized in [0, 1]; decrease factor Gd-scaled like the BCN gain *)
-  rp.target <- rp.rate;
-  let factor = 1. -. (0.5 *. fb_normalized) in
-  rp.rate <- Float.max rp.min_rate (rp.rate *. factor);
-  rp.cycles <- 0;
-  rp.bc_count <- 0.
-
-let rp_byte_counter_expiry cfg rp =
-  if rp.cycles >= cfg.fast_recovery_cycles then
-    (* active increase: probe for more bandwidth *)
-    rp.target <- rp.target +. cfg.r_ai
-  else rp.cycles <- rp.cycles + 1;
-  rp.rate <- Float.min rp.max_rate ((rp.rate +. rp.target) /. 2.)
-
 let run cfg =
-  if cfg.t_end <= 0. then invalid_arg "Qcn.run: t_end <= 0";
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
-  let e = Engine.create () in
-  let delivered = ref 0. in
+  let l =
+    Loop.create ~name:"Qcn" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt
+      ~control_delay:cfg.control_delay ()
+  in
   let cn_messages = ref 0 in
-  let fifo = Fifo.create ~capacity_bits:p.Fluid.Params.buffer in
-  let busy = ref false in
-  let q_old = ref 0. in
-  let arrivals = ref 0 in
-  let sample_every =
-    Stdlib.max 1 (int_of_float (Float.round (1. /. p.Fluid.Params.pm)))
-  in
   let fb_max = p.Fluid.Params.q0 *. (1. +. (2. *. p.Fluid.Params.w)) in
+  let rates = Array.make n cfg.initial_rate in
   let rps =
-    Array.init n (fun id ->
-        {
-          id;
-          rate = cfg.initial_rate;
-          target = cfg.initial_rate;
-          bc_count = 0.;
-          cycles = 0;
-          min_rate = 1e3;
-          max_rate = p.Fluid.Params.capacity;
-        })
+    Array.init n (fun _ ->
+        { target = cfg.initial_rate; bc_count = 0.; cycles = 0 })
   in
-  let rec serve e =
-    if not !busy then
-      match Fifo.dequeue fifo with
-      | None -> ()
-      | Some pkt ->
-          busy := true;
-          Engine.schedule e
-            ~delay:(float_of_int pkt.Packet.bits /. p.Fluid.Params.capacity)
-            (fun e ->
-              busy := false;
-              delivered := !delivered +. float_of_int pkt.Packet.bits;
-              serve e)
+  (* fb_normalized in [0, 1]; decrease factor Gd-scaled like the BCN gain *)
+  let decrease i fb_normalized =
+    let rp = rps.(i) in
+    rp.target <- rates.(i);
+    let factor = 1. -. (0.5 *. fb_normalized) in
+    rates.(i) <- Float.max 1e3 (rates.(i) *. factor);
+    rp.cycles <- 0;
+    rp.bc_count <- 0.
   in
-  let congestion_point e (pkt : Packet.t) =
-    incr arrivals;
-    if !arrivals mod sample_every = 0 then begin
-      let q = Fifo.occupancy_bits fifo in
-      let dq = q -. !q_old in
-      q_old := q;
-      let fb =
-        -.((q -. p.Fluid.Params.q0) +. (p.Fluid.Params.w *. dq))
-      in
-      if fb < 0. then begin
-        let fbq = quantize ~bits:cfg.quant_bits ~fb_max fb in
-        if fbq < 0. then begin
-          incr cn_messages;
-          match pkt.Packet.kind with
-          | Packet.Data { flow; _ } ->
-              Engine.schedule e ~delay:cfg.control_delay (fun _e ->
-                  rp_decrease rps.(flow) (Float.abs fbq /. fb_max))
-          | Packet.Bcn _ | Packet.Pause _ -> ()
-        end
-      end
-    end
+  let byte_counter_expiry i =
+    let rp = rps.(i) in
+    if rp.cycles >= cfg.fast_recovery_cycles then
+      (* active increase: probe for more bandwidth *)
+      rp.target <- rp.target +. cfg.r_ai
+    else rp.cycles <- rp.cycles + 1;
+    rates.(i) <- Float.min p.Fluid.Params.capacity ((rates.(i) +. rp.target) /. 2.)
   in
-  let receive e pkt =
-    let accepted = Fifo.enqueue fifo pkt in
-    if accepted then congestion_point e pkt;
-    serve e
+  let sw = Loop.egress l p in
+  (* a notification carries the quantized feedback [fbq] *)
+  let notify =
+    Loop.notifier l (fun _e flow fbq -> decrease flow (Float.abs fbq /. fb_max))
   in
-  (* pacing loops with byte counters *)
-  let rec pace rp e =
-    if Engine.now e <= cfg.t_end then begin
-      let pkt =
-        Packet.make_data ~seq:0 ~now:(Engine.now e) ~flow:rp.id ~rrt:None
-      in
-      receive e pkt;
-      rp.bc_count <- rp.bc_count +. float_of_int pkt.Packet.bits;
+  (* Fb = -(q_off + w q_delta) is BCN's sigma *)
+  Loop.sampled p sw (fun e flow fb ->
+      let fbq = quantize ~bits:cfg.quant_bits ~fb_max fb in
+      if fbq < 0. then begin
+        incr cn_messages;
+        notify e flow fbq
+      end);
+  (* the byte counter runs as each frame leaves its source *)
+  Loop.pace l ~rates sw ~on_send:(fun i ->
+      let rp = rps.(i) in
+      rp.bc_count <- rp.bc_count +. float_of_int Packet.data_frame_bits;
       if rp.bc_count >= cfg.bc_limit_bits then begin
         rp.bc_count <- 0.;
-        rp_byte_counter_expiry cfg rp
-      end;
-      Engine.schedule e
-        ~delay:(float_of_int pkt.Packet.bits /. rp.rate)
-        (pace rp)
-    end
+        byte_counter_expiry i
+      end);
+  let tr =
+    Loop.trace l ~columns:2 (fun _e cols i ->
+        cols.(0).(i) <- Switch.queue_bits sw;
+        cols.(1).(i) <- Array.fold_left ( +. ) 0. rates)
   in
-  Array.iter
-    (fun rp ->
-      let jitter =
-        float_of_int Packet.data_frame_bits /. rp.rate
-        *. (float_of_int (rp.id mod 97) /. 97.)
-      in
-      Engine.schedule e ~delay:jitter (pace rp))
-    rps;
-  (* tracing *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let ags = Array.make n_samples 0. in
-  let idx = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Fifo.occupancy_bits fifo;
-      ags.(!idx) <- Array.fold_left (fun acc rp -> acc +. rp.rate) 0. rps;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
-  in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  Loop.run l;
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut ags);
-    drops = Fifo.drops fifo;
-    delivered_bits = !delivered;
-    utilization = !delivered /. (p.Fluid.Params.capacity *. cfg.t_end);
+    queue = Loop.series tr 0;
+    agg_rate = Loop.series tr 1;
+    drops = Fifo.drops (Switch.fifo sw);
+    delivered_bits = Loop.delivered l;
+    utilization = Loop.delivered l /. (p.Fluid.Params.capacity *. cfg.t_end);
     cn_messages = !cn_messages;
-    final_rates = Array.map (fun rp -> rp.rate) rps;
+    final_rates = Array.copy rates;
   }

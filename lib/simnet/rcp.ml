@@ -10,7 +10,7 @@ type config = {
   beta : float;
   interval : float;
   variant : Fluid.Rcp.variant;
-  control_channel : Runner.control_channel option;
+  control_channel : Loop.control_channel option;
   on_setup : (Engine.t -> Switch.t -> unit) option;
 }
 
@@ -42,137 +42,64 @@ type result = {
 }
 
 let run cfg =
-  if cfg.t_end <= 0. then invalid_arg "Rcp.run: t_end <= 0";
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
   let c = p.Fluid.Params.capacity in
-  let e = Engine.create () in
-  let pool = Packet.Pool.create () in
-  let sw =
-    Switch.create
-      {
-        (Switch.default_config p ~cpid:1) with
-        Switch.enable_bcn = false;
-        enable_pause = false;
-        pool = Some pool;
-      }
-      ~control_out:(fun _e _pkt -> ())
+  let l =
+    Loop.create ?channel:cfg.control_channel ~name:"Rcp" ~t_end:cfg.t_end
+      ~sample_dt:cfg.sample_dt ~control_delay:cfg.control_delay ()
   in
-  let delivered = ref 0. in
-  Switch.set_forward sw (fun _e pkt ->
-      delivered := !delivered +. float_of_int pkt.Packet.bits;
-      Packet.Pool.release pool pkt);
+  let e = Loop.engine l in
+  let sw = Loop.egress l p in
   (match cfg.on_setup with Some f -> f e sw | None -> ());
   let rates = Array.make n cfg.initial_rate in
   let advertised = ref cfg.initial_rate in
   let arrived_bits = ref 0. in
   let feedbacks = ref 0 in
-  let seq = ref 0 in
-  (* a rate frame is consumed (and recycled) wherever it terminates:
-     at the source on delivery, or by the fault channel's drop path *)
-  let deliver_fb _e (pkt : Packet.t) =
-    (match pkt.Packet.kind with
-    | Packet.Bcn { flow; fb; _ } -> rates.(flow) <- fb
-    | Packet.Data _ | Packet.Pause _ -> ());
-    Packet.Pool.release pool pkt
-  in
-  let drop_fb _e pkt = Packet.Pool.release pool pkt in
-  let rec control_cycle e =
-    (* the router knows its own (live) capacity; a flap therefore feeds
-       straight into the advertised-rate law, as in the fluid model *)
-    let live_c = Switch.capacity sw in
-    let y = !arrived_bits /. cfg.interval in
-    arrived_bits := 0.;
-    let q = Switch.queue_bits sw in
-    let corr =
-      (cfg.alpha *. (live_c -. y)) -. (cfg.beta *. q /. cfg.interval)
-    in
-    let r = !advertised in
-    let r' =
-      match cfg.variant with
-      | Fluid.Rcp.By_capacity -> r *. (1. +. (corr /. live_c))
-      | Fluid.Rcp.By_load -> r +. (corr /. float_of_int n)
-    in
-    advertised := Float.max 1e3 (Float.min r' c);
-    for i = 0 to n - 1 do
-      let pkt =
-        Packet.Pool.alloc_bcn pool ~seq:!seq ~now:(Engine.now e) ~flow:i
-          ~fb:!advertised ~cpid:1
+  (* a rate frame carries the advertised rate; its source obeys it *)
+  let send_rate = Loop.notifier l (fun _e flow r -> rates.(flow) <- r) in
+  Loop.every l cfg.interval (fun e ->
+      (* the router knows its own (live) capacity; a flap therefore feeds
+         straight into the advertised-rate law, as in the fluid model *)
+      let live_c = Switch.capacity sw in
+      let y = !arrived_bits /. cfg.interval in
+      arrived_bits := 0.;
+      let q = Switch.queue_bits sw in
+      let corr =
+        (cfg.alpha *. (live_c -. y)) -. (cfg.beta *. q /. cfg.interval)
       in
-      incr seq;
-      incr feedbacks;
-      match cfg.control_channel with
-      | None ->
-          Engine.schedule e ~delay:cfg.control_delay (fun e ->
-              deliver_fb e pkt)
-      | Some chan ->
-          chan e pkt
-            ~deliver:(fun e pkt ->
-              Engine.schedule e ~delay:cfg.control_delay (fun e ->
-                  deliver_fb e pkt))
-            ~drop:drop_fb
-    done;
-    Engine.schedule e ~delay:cfg.interval control_cycle
-  in
-  Engine.schedule e ~delay:cfg.interval control_cycle;
-  let frame = float_of_int Packet.data_frame_bits in
-  let rec pace i e =
-    if Engine.now e <= cfg.t_end then begin
-      let pkt =
-        Packet.Pool.alloc_data pool ~seq:!seq ~now:(Engine.now e) ~flow:i
-          ~rrt:None
+      let r = !advertised in
+      let r' =
+        match cfg.variant with
+        | Fluid.Rcp.By_capacity -> r *. (1. +. (corr /. live_c))
+        | Fluid.Rcp.By_load -> r +. (corr /. float_of_int n)
       in
-      incr seq;
-      (* y is measured at the ingress, drops included — the input
-         traffic rate of the RCP law, not the accepted rate *)
-      arrived_bits := !arrived_bits +. float_of_int pkt.Packet.bits;
-      Switch.receive sw e pkt;
-      Engine.schedule e ~delay:(frame /. rates.(i)) (pace i)
-    end
+      advertised := Float.max 1e3 (Float.min r' c);
+      for i = 0 to n - 1 do
+        incr feedbacks;
+        send_rate e i !advertised
+      done);
+  (* y is measured at the ingress, drops included — the input traffic
+     rate of the RCP law, not the accepted rate *)
+  Loop.pace l ~rates sw ~on_send:(fun _ ->
+      arrived_bits := !arrived_bits +. float_of_int Packet.data_frame_bits);
+  let tr =
+    Loop.trace l ~columns:3 (fun _e cols i ->
+        cols.(0).(i) <- Switch.queue_bits sw;
+        cols.(1).(i) <- Array.fold_left ( +. ) 0. rates;
+        cols.(2).(i) <- !advertised)
   in
-  for i = 0 to n - 1 do
-    let jitter = frame /. rates.(i) *. (float_of_int (i mod 97) /. 97.) in
-    Engine.schedule e ~delay:jitter (pace i)
-  done;
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let ags = Array.make n_samples 0. in
-  let avs = Array.make n_samples 0. in
-  let idx = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Switch.queue_bits sw;
-      ags.(!idx) <- Array.fold_left ( +. ) 0. rates;
-      avs.(!idx) <- !advertised;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
-  in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  Loop.run l;
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut ags);
-    advertised = Series.make (cut ts) (cut avs);
+    queue = Loop.series tr 0;
+    agg_rate = Loop.series tr 1;
+    advertised = Loop.series tr 2;
     drops = Fifo.drops (Switch.fifo sw);
-    delivered_bits = !delivered;
-    utilization = !delivered /. (c *. cfg.t_end);
+    delivered_bits = Loop.delivered l;
+    utilization = Loop.delivered l /. (c *. cfg.t_end);
     feedbacks = !feedbacks;
     final_rates = Array.copy rates;
     events_processed = Engine.events_processed e;
   }
 
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "Rcp"
-  let run = run
-end)
-
-let run_many = Fanout.run_many
+let run_many ?jobs cfgs = Loop.run_many ~name:"Rcp" run ?jobs cfgs

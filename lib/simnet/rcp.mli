@@ -34,7 +34,7 @@ type config = {
   beta : float;  (** [0] = the queue-term ablation *)
   interval : float;  (** control interval [T], seconds *)
   variant : Fluid.Rcp.variant;
-  control_channel : Runner.control_channel option;
+  control_channel : Loop.control_channel option;
       (** interpose on rate frames (fault injection); [None] is
           byte-identical to a lossless channel *)
   on_setup : (Engine.t -> Switch.t -> unit) option;
@@ -67,8 +67,5 @@ val run : config -> result
     equal results. Raises [Invalid_argument] when [t_end <= 0]. *)
 
 val run_many : ?jobs:int -> config array -> result array
-(** Run every config over a [Parallel.Pool] of [jobs] lanes (default
-    {!Parallel.Pool.default_size}). Results are in input order and
-    byte-identical for any [jobs] value — each run owns its engine,
-    pool and switch. [jobs = 1] runs sequentially in the caller.
-    Raises [Invalid_argument] when [jobs < 1]. *)
+(** {!run} over {!Loop.run_many}: results in input order, byte-identical
+    for any [jobs]. *)

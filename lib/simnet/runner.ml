@@ -1,11 +1,6 @@
 open Numerics
 
-type control_channel =
-  Engine.t ->
-  Packet.t ->
-  deliver:(Engine.t -> Packet.t -> unit) ->
-  drop:(Engine.t -> Packet.t -> unit) ->
-  unit
+type control_channel = Loop.control_channel
 
 type config = {
   params : Fluid.Params.t;
@@ -67,17 +62,14 @@ type result = {
 }
 
 let run ?(probe = Telemetry.Probe.disabled) cfg =
-  if cfg.t_end <= 0. then invalid_arg "Runner.run: t_end <= 0";
-  if cfg.sample_dt <= 0. then invalid_arg "Runner.run: sample_dt <= 0";
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
-  let e = Engine.create ~probe () in
-  (* every frame in this run cycles through one pool: sources draw data
-     frames, the switch draws control frames, and whoever consumes a
-     frame (sink, control dispatcher, tail drop) releases it *)
-  let pool = Packet.Pool.create () in
-  (* flat float accumulator: a [ref float] would box on every store *)
-  let delivered = [| 0. |] in
+  let l =
+    Loop.create ~probe ?channel:cfg.control_channel ~name:"Runner"
+      ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt
+      ~control_delay:cfg.control_delay ()
+  in
+  let e = Loop.engine l in
   (* frame sojourn time through the switch; worst case ~ B/C plus service *)
   let latency =
     Histogram.create ~lo:0.
@@ -89,121 +81,77 @@ let run ?(probe = Telemetry.Probe.disabled) cfg =
   in
   (* the switch is created before the sources so control frames can be
      routed; sources are filled in just below *)
-  let sources = Array.make n None in
-  let dispatch_control e (pkt : Packet.t) =
-    (match pkt.Packet.kind with
+  let sources = ref [||] in
+  let dispatch e (pkt : Packet.t) =
+    match pkt.Packet.kind with
     | Packet.Bcn { flow; fb; cpid } ->
+        let now = Engine.now e in
+        (* flows >= n are uncontrolled cross traffic (Scenario
+           workloads): they have no reaction point, so feedback
+           addressed to them is consumed here *)
         if cfg.broadcast_feedback then
-          Array.iter
-            (function
-              | Some src -> Source.handle_bcn src ~now:(Engine.now e) ~fb ~cpid
-              | None -> ())
-            sources
-        else if flow >= 0 && flow < n then (
-          (* flows >= n are uncontrolled cross traffic (Scenario
-             workloads): they have no reaction point, so feedback
-             addressed to them is consumed here *)
-          match sources.(flow) with
-          | Some src -> Source.handle_bcn src ~now:(Engine.now e) ~fb ~cpid
-          | None -> ())
+          Array.iter (fun src -> Source.handle_bcn src ~now ~fb ~cpid) !sources
+        else if flow >= 0 && flow < n then
+          Source.handle_bcn !sources.(flow) ~now ~fb ~cpid
     | Packet.Pause { on } ->
-        Array.iter
-          (function Some src -> Source.set_paused src e on | None -> ())
-          sources
-    | Packet.Data _ -> ());
-    Packet.Pool.release pool pkt
+        Array.iter (fun src -> Source.set_paused src e on) !sources
+    | Packet.Data _ -> ()
   in
-  let sw_cfg =
-    {
-      (Switch.default_config p ~cpid:1) with
-      Switch.sampling = cfg.sampling;
-      positive_to_untagged = cfg.positive_to_untagged;
-      enable_bcn = cfg.enable_bcn;
-      enable_pause = cfg.enable_pause;
-      pause_resume = cfg.pause_resume;
-      pool = Some pool;
-    }
+  let sw =
+    Loop.switch l
+      {
+        (Switch.default_config p ~cpid:1) with
+        Switch.sampling = cfg.sampling;
+        positive_to_untagged = cfg.positive_to_untagged;
+        enable_bcn = cfg.enable_bcn;
+        enable_pause = cfg.enable_pause;
+        pause_resume = cfg.pause_resume;
+      }
+      ~dispatch
   in
-  (* the delivery leg every control frame takes once past the (optional)
-     fault channel: the configured propagation delay, then dispatch *)
-  let deliver e pkt =
-    Engine.schedule e ~delay:cfg.control_delay (fun e ->
-        dispatch_control e pkt)
-  in
-  let control_out =
-    match cfg.control_channel with
-    | None -> deliver
-    | Some chan ->
-        let drop _e pkt = Packet.Pool.release pool pkt in
-        fun e pkt -> chan e pkt ~deliver ~drop
-  in
-  let sw = Switch.create sw_cfg ~control_out in
   (match cfg.on_setup with Some f -> f e sw | None -> ());
-  Switch.set_forward sw (fun e pkt ->
-      delivered.(0) <- delivered.(0) +. float_of_int pkt.Packet.bits;
-      Histogram.add latency (Engine.now e -. Packet.born pkt);
-      Packet.Pool.release pool pkt);
+  Loop.sink l sw ~on_deliver:(fun e pkt ->
+      Histogram.add latency (Engine.now e -. Packet.born pkt));
   Switch.start sw e;
-  for i = 0 to n - 1 do
-    let src =
-      Source.create ~id:i ~initial_rate:cfg.initial_rate
-        ~min_rate:(0.01 *. Fluid.Params.equilibrium_rate p)
-        ~max_rate:p.Fluid.Params.capacity ~mode:cfg.mode
-        ~hold_timeout:(50. *. Switch.fluid_sampling_period p)
-        ~pool ~gi:p.Fluid.Params.gi ~gd:p.Fluid.Params.gd
-        ~ru:p.Fluid.Params.ru
-        ~send:(fun e pkt -> Switch.receive sw e pkt)
-        ()
-    in
-    sources.(i) <- Some src;
-    Source.start src e
-  done;
-  (* periodic trace sampler *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let aggs = Array.make n_samples 0. in
-  let per_flow = Array.make_matrix n n_samples 0. in
-  let idx = ref 0 in
-  let record e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Switch.queue_bits sw;
-      Histogram.add_weighted queue_histogram (Switch.queue_bits sw) cfg.sample_dt;
-      let agg = [| 0. |] in
-      Array.iteri
-        (fun i s ->
-          match s with
-          | Some src ->
-              let r = Source.rate src in
-              per_flow.(i).(!idx) <- r;
-              agg.(0) <- agg.(0) +. r
-          | None -> ())
-        sources;
-      aggs.(!idx) <- agg.(0);
-      incr idx
-    end
+  sources :=
+    Array.init n (fun id ->
+        Source.create ~id ~initial_rate:cfg.initial_rate
+          ~min_rate:(0.01 *. Fluid.Params.equilibrium_rate p)
+          ~max_rate:p.Fluid.Params.capacity ~mode:cfg.mode
+          ~hold_timeout:(50. *. Switch.fluid_sampling_period p)
+          ~pool:(Loop.pool l) ~gi:p.Fluid.Params.gi ~gd:p.Fluid.Params.gd
+          ~ru:p.Fluid.Params.ru
+          ~send:(fun e pkt -> Switch.receive sw e pkt)
+          ());
+  Array.iter (fun src -> Source.start src e) !sources;
+  (* columns: queue, aggregate rate, then one per flow. The overflow
+     verdict rides the sampler: once the FIFO has dropped, the run's
+     answer to "does this operating point overflow the buffer?" is
+     decided, so with [stop_on_verdict] the remaining horizon is
+     skipped; the trace up to the stop is byte-identical to the same
+     prefix of a full-horizon run. *)
+  let tr =
+    Loop.trace l ~columns:(n + 2) (fun e cols i ->
+        cols.(0).(i) <- Switch.queue_bits sw;
+        Histogram.add_weighted queue_histogram (Switch.queue_bits sw)
+          cfg.sample_dt;
+        let agg = [| 0. |] in
+        Array.iteri
+          (fun f src ->
+            let r = Source.rate src in
+            cols.(f + 2).(i) <- r;
+            agg.(0) <- agg.(0) +. r)
+          !sources;
+        cols.(1).(i) <- agg.(0);
+        if cfg.stop_on_verdict && Fifo.drops (Switch.fifo sw) > 0 then
+          Engine.stop e)
   in
-  let rec sampler e =
-    record e;
-    (* overflow verdict: once the FIFO has dropped, the run's answer to
-       "does this operating point overflow the buffer?" is decided —
-       with [stop_on_verdict] the remaining horizon is skipped. The
-       check rides the sampler, so the verdict resolution is one
-       [sample_dt], and the trace up to the stop is byte-identical to
-       the same prefix of a full-horizon run. *)
-    if cfg.stop_on_verdict && Fifo.drops (Switch.fifo sw) > 0 then
-      Engine.stop e
-    else if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
-  in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
+  Loop.run l;
   (* elapsed simulated time: equals [t_end] unless the verdict stop cut
      the run short (the engine clock then rests at the stop event) *)
   let t_run = if cfg.stop_on_verdict then Engine.now e else cfg.t_end in
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  let delivered = Loop.delivered l in
+  let utilization = delivered /. (p.Fluid.Params.capacity *. t_run) in
   let st = Switch.stats sw in
   let q = Switch.fifo sw in
   if Telemetry.Probe.enabled probe then begin
@@ -213,74 +161,50 @@ let run ?(probe = Telemetry.Probe.disabled) cfg =
       (Engine.events_processed e);
     Telemetry.Metrics.add mx "runner.frames_sampled" st.Switch.sampled;
     Telemetry.Metrics.add mx "runner.drops" (Fifo.drops q);
-    Telemetry.Metrics.set_gauge mx "runner.delivered_bits" delivered.(0);
+    Telemetry.Metrics.set_gauge mx "runner.delivered_bits" delivered;
     Telemetry.Metrics.set_gauge mx "runner.dropped_bits" (Fifo.dropped_bits q);
-    Telemetry.Metrics.set_gauge mx "runner.utilization"
-      (delivered.(0) /. (p.Fluid.Params.capacity *. t_run));
+    Telemetry.Metrics.set_gauge mx "runner.utilization" utilization;
     Telemetry.Metrics.add_histogram mx "runner.latency_s" latency;
     Telemetry.Metrics.add_histogram mx "runner.queue_bits" queue_histogram
   end;
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut aggs);
-    flow_rates =
-      Array.init n (fun i -> Series.make (cut ts) (cut per_flow.(i)));
+    queue = Loop.series tr 0;
+    agg_rate = Loop.series tr 1;
+    flow_rates = Array.init n (fun f -> Loop.series tr (f + 2));
     latency;
     queue_histogram;
     drops = Fifo.drops q;
     dropped_bits = Fifo.dropped_bits q;
-    delivered_bits = delivered.(0);
-    utilization = delivered.(0) /. (p.Fluid.Params.capacity *. t_run);
+    delivered_bits = delivered;
+    utilization;
     bcn_positive = st.Switch.bcn_positive;
     bcn_negative = st.Switch.bcn_negative;
     pause_on_events = st.Switch.pause_on;
     sampled_frames = st.Switch.sampled;
     events_processed = Engine.events_processed e;
-    final_rates =
-      Array.map
-        (function Some src -> Source.rate src | None -> 0.)
-        sources;
+    final_rates = Array.map Source.rate !sources;
   }
 
-(* Each run builds its own engine, pool and RNG state and shares
-   nothing with its siblings, so the deterministic fan-out is the one
-   the shared MODEL functor generates; [run_many] stays as the
-   historical alias. *)
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "Runner"
-  let run c = run c
-end)
-
-let run_many = Fanout.run_many
+let run_many ?jobs cfgs = Loop.run_many ~name:"Runner" (fun c -> run c) ?jobs cfgs
 
 let replicate ?jobs ~seeds cfg =
   run_many ?jobs (Array.map (with_seed cfg) seeds)
 
 (* Instrumented fan-out: each replica gets its own counting probe
    (capacity 0: per-kind event counters + metrics, no ring), created
-   inside the task so no probe state crosses domains. map_array returns
-   in input order, so folding the registries left-to-right merges them
-   in seed order — the combined snapshot is byte-identical for any
-   [jobs] value. *)
+   inside the task so no probe state crosses domains. The fan-out
+   returns in input order, so folding the registries left-to-right
+   merges them in seed order — the combined snapshot is byte-identical
+   for any [jobs] value. *)
 let replicate_instrumented ?jobs ~seeds cfg =
-  let cfgs = Array.map (with_seed cfg) seeds in
   let task c =
     let probe = Telemetry.Probe.create ~capacity:0 () in
     let r = run ~probe c in
     (r, Telemetry.Probe.metrics probe)
   in
   let pairs =
-    let size =
-      match jobs with Some j -> j | None -> Parallel.Pool.default_size ()
-    in
-    if size < 1 then invalid_arg "Runner.replicate_instrumented: jobs < 1";
-    if size = 1 || Array.length cfgs <= 1 then Array.map task cfgs
-    else
-      Parallel.Pool.with_pool ~size (fun pool ->
-          Parallel.Pool.map_array pool task cfgs)
+    Loop.run_many ~name:"Runner" task ?jobs
+      (Array.map (with_seed cfg) seeds)
   in
   let merged = Telemetry.Metrics.create () in
   Array.iter (fun (_, m) -> Telemetry.Metrics.merge_into ~into:merged m) pairs;

@@ -248,6 +248,9 @@ let validate s =
   | Multihop { c_a; c_b; n_long; n_short; _ } ->
       check_pos "multihop c_a" c_a;
       check_pos "multihop c_b" c_b;
+      if c_b > c_a then
+        fail "Scenario: multihop c_b = %g exceeds c_a = %g (the second hop \
+              must be the tighter one)" c_b c_a;
       if n_long < 1 || n_short < 0 then
         fail "Scenario: multihop needs n_long >= 1 and n_short >= 0"
   | Rcp { alpha; beta; interval; _ } ->
@@ -809,179 +812,58 @@ let decode_exn src =
 (* Compilation to execution-layer configs                              *)
 (* ------------------------------------------------------------------ *)
 
-let runner_sampling s = function
-  | Deterministic -> Switch.Deterministic
-  | Bernoulli -> Switch.Bernoulli (Random.State.make [| s.seed |])
-  | Timer p -> Switch.Timer p
-
-let to_runner_config s =
+let runner_configs s =
   let s = validate s in
   match s.model with
   | Bcn k ->
       let base =
         Runner.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
       in
-      {
-        base with
-        Runner.initial_rate =
-          Option.value s.initial_rate ~default:base.Runner.initial_rate;
-        control_delay = s.control_delay;
-        mode = k.mode;
-        sampling = runner_sampling s k.sampling;
-        positive_to_untagged = k.positive_to_untagged;
-        broadcast_feedback = k.broadcast_feedback;
-        enable_bcn = k.enable_bcn;
-        enable_pause = k.enable_pause;
-        pause_resume = k.pause_resume;
-      }
-  | _ -> invalid_arg "Scenario.to_runner_config: not a BCN scenario"
-
-let runner_configs s =
-  let base = to_runner_config s in
-  match s.model with
-  | Bcn { sampling = Bernoulli; _ } ->
-      Array.init s.replicas (fun i -> Runner.with_seed base (s.seed + i))
-  | _ -> [| base |]
-
-let to_e2cm_config s =
-  let s = validate s in
-  match s.model with
-  | E2cm { interval } ->
       let base =
-        E2cm.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
+        {
+          base with
+          Runner.initial_rate =
+            Option.value s.initial_rate ~default:base.Runner.initial_rate;
+          control_delay = s.control_delay;
+          mode = k.mode;
+          positive_to_untagged = k.positive_to_untagged;
+          broadcast_feedback = k.broadcast_feedback;
+          enable_bcn = k.enable_bcn;
+          enable_pause = k.enable_pause;
+          pause_resume = k.pause_resume;
+        }
       in
-      {
-        base with
-        E2cm.initial_rate =
-          Option.value s.initial_rate ~default:base.E2cm.initial_rate;
-        control_delay = s.control_delay;
-        interval;
-      }
-  | _ -> invalid_arg "Scenario.to_e2cm_config: not an E2CM scenario"
+      (match k.sampling with
+      | Deterministic -> [| base |]
+      | Timer p -> [| { base with Runner.sampling = Switch.Timer p } |]
+      | Bernoulli ->
+          Array.init s.replicas (fun i -> Runner.with_seed base (s.seed + i)))
+  | _ -> invalid_arg "Scenario.runner_configs: not a BCN scenario"
 
-let to_fera_config s =
-  let s = validate s in
-  match s.model with
-  | Fera { interval; target_util } ->
-      let base =
-        Fera.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
-      in
-      {
-        base with
-        Fera.initial_rate =
-          Option.value s.initial_rate ~default:base.Fera.initial_rate;
-        control_delay = s.control_delay;
-        interval;
-        target_util;
-      }
-  | _ -> invalid_arg "Scenario.to_fera_config: not a FERA scenario"
-
-let to_multihop_config s =
-  let s = validate s in
-  match s.model with
-  | Multihop { c_a; c_b; n_long; n_short; strict_tagging } ->
-      let base =
-        Multihop.default_config ~t_end:s.t_end ~n_long ~n_short s.params
-      in
-      {
-        base with
-        Multihop.c_a;
-        c_b;
-        sample_dt = s.sample_dt;
-        initial_rate =
-          Option.value s.initial_rate ~default:base.Multihop.initial_rate;
-        control_delay = s.control_delay;
-        strict_tagging;
-      }
-  | _ -> invalid_arg "Scenario.to_multihop_config: not a multihop scenario"
-
-let of_runner_config ?(seed = 0) ?(replicas = 1) (cfg : Runner.config) =
-  if cfg.Runner.control_channel <> None || cfg.Runner.on_setup <> None then
-    invalid_arg
-      "Scenario.of_runner_config: config carries executable hooks \
-       (control_channel/on_setup); describe the fault as a Fault_plan \
-       instead";
-  let sampling =
-    match cfg.Runner.sampling with
-    | Switch.Deterministic -> Deterministic
-    | Switch.Timer p -> Timer p
-    | Switch.Bernoulli _ ->
-        invalid_arg
-          "Scenario.of_runner_config: live Bernoulli RNG state is not \
-           encodable; use ?seed with Deterministic/Timer sampling"
-  in
-  validate
-    {
-      params = cfg.Runner.params;
-      t_end = cfg.Runner.t_end;
-      sample_dt = cfg.Runner.sample_dt;
-      initial_rate = Some cfg.Runner.initial_rate;
-      control_delay = cfg.Runner.control_delay;
-      model =
-        Bcn
-          {
-            mode = cfg.Runner.mode;
-            sampling;
-            positive_to_untagged = cfg.Runner.positive_to_untagged;
-            broadcast_feedback = cfg.Runner.broadcast_feedback;
-            enable_bcn = cfg.Runner.enable_bcn;
-            enable_pause = cfg.Runner.enable_pause;
-            pause_resume = cfg.Runner.pause_resume;
-          };
-      workload = [];
-      fault = None;
-      seed;
-      replicas;
-    }
-
+(* Cross-traffic generators get flow ids [params.n_flows] upward, in
+   list order, and feed the switch directly. *)
 let start_workloads s e sw =
   let next = ref s.params.Fluid.Params.n_flows in
-  let sink e pkt = Switch.receive sw e pkt in
+  let id () =
+    let i = !next in
+    incr next;
+    i
+  in
   List.iter
     (fun spec ->
       let w =
         match spec with
-        | Cbr { rate } ->
-            let id = !next in
-            incr next;
-            Workload.cbr ~id ~rate
+        | Cbr { rate } -> Workload.cbr ~id:(id ()) ~rate
         | Poisson { mean_rate; seed } ->
-            let id = !next in
-            incr next;
-            Workload.poisson ~id ~mean_rate ~seed
+            Workload.poisson ~id:(id ()) ~mean_rate ~seed
         | On_off { peak_rate; mean_on; mean_off; seed } ->
-            let id = !next in
-            incr next;
-            Workload.on_off ~id ~peak_rate ~mean_on ~mean_off ~seed
+            Workload.on_off ~id:(id ()) ~peak_rate ~mean_on ~mean_off ~seed
         | Incast { senders; burst_frames; period; jitter; seed } ->
-            let ids = List.init senders (fun i -> !next + i) in
-            next := !next + senders;
+            let ids = List.init senders (fun _ -> id ()) in
             Workload.incast ~ids ~burst_frames ~period ~jitter ~seed ()
       in
-      Workload.start w e ~sink)
+      Workload.start w e ~sink:(fun e pkt -> Switch.receive sw e pkt))
     s.workload
-
-(* ------------------------------------------------------------------ *)
-(* The single compile dispatch                                         *)
-(* ------------------------------------------------------------------ *)
-
-let to_rcp_config s =
-  match s.model with
-  | Rcp { alpha; beta; interval; variant } ->
-      let base =
-        Rcp.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
-      in
-      {
-        base with
-        Rcp.initial_rate =
-          Option.value s.initial_rate ~default:base.Rcp.initial_rate;
-        control_delay = s.control_delay;
-        alpha;
-        beta;
-        interval;
-        variant;
-      }
-  | _ -> invalid_arg "Scenario.to_rcp_config: not an RCP scenario"
 
 type hooks = {
   channel : Runner.control_channel option;
@@ -1017,34 +899,42 @@ let compose_setup extra prev =
           f e sw;
           p e sw)
 
-let single pack = function
-  | [| r |] -> pack r
-  | rs ->
-      invalid_arg
-        (Printf.sprintf "Scenario.compile: expected 1 result, got %d"
-           (Array.length rs))
+(* a hook's channel replaces the config's own; [None] leaves it *)
+let channel h prev = match h.channel with None -> prev | some -> some
+
+(* the single-run models: one config, one result *)
+let single cfg run_many wire pack =
+  Runnable
+    {
+      configs = [| cfg |];
+      run_many;
+      wire;
+      pack =
+        (function
+        | [| r |] -> pack r
+        | rs ->
+            invalid_arg
+              (Printf.sprintf "Scenario.compile: expected 1 result, got %d"
+                 (Array.length rs)));
+    }
 
 let compile s =
   let s = validate s in
+  let initial_rate default = Option.value s.initial_rate ~default in
   match s.model with
   | Bcn _ ->
-      let cfgs = runner_configs s in
-      let cfgs =
-        if s.workload = [] then cfgs
+      let on_setup (cfg : Runner.config) =
+        if s.workload = [] then cfg.Runner.on_setup
         else
-          Array.map
-            (fun cfg ->
-              {
-                cfg with
-                Runner.on_setup =
-                  compose_setup cfg.Runner.on_setup
-                    (Some (fun e sw -> start_workloads s e sw));
-              })
-            cfgs
+          compose_setup cfg.Runner.on_setup
+            (Some (fun e sw -> start_workloads s e sw))
       in
       Runnable
         {
-          configs = cfgs;
+          configs =
+            Array.map
+              (fun cfg -> { cfg with Runner.on_setup = on_setup cfg })
+              (runner_configs s);
           run_many = Runner.run_many;
           wire =
             Some
@@ -1052,75 +942,83 @@ let compile s =
                 {
                   cfg with
                   Runner.control_channel =
-                    (match h.channel with
-                    | None -> cfg.Runner.control_channel
-                    | some -> some);
+                    channel h cfg.Runner.control_channel;
                   on_setup = compose_setup h.setup cfg.Runner.on_setup;
                 });
           pack = (fun rs -> Bcn_results rs);
         }
-  | E2cm _ ->
-      Runnable
+  | E2cm { interval } ->
+      let d = E2cm.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params in
+      (* no switch hook: only channel faults exist for this model
+         (validate enforces it), so [setup] has nothing to arm *)
+      single
         {
-          configs = [| to_e2cm_config s |];
-          run_many = E2cm.run_many;
-          wire =
-            (* no switch: only channel faults exist for this model
-               (validate enforces it), so [setup] has nothing to arm *)
-            Some
-              (fun cfg h ->
-                {
-                  cfg with
-                  E2cm.control_channel =
-                    (match h.channel with
-                    | None -> cfg.E2cm.control_channel
-                    | some -> some);
-                });
-          pack = single (fun r -> E2cm_result r);
+          d with
+          E2cm.initial_rate = initial_rate d.E2cm.initial_rate;
+          control_delay = s.control_delay;
+          interval;
         }
-  | Fera _ ->
-      Runnable
+        E2cm.run_many
+        (Some
+           (fun cfg h ->
+             {
+               cfg with
+               E2cm.control_channel = channel h cfg.E2cm.control_channel;
+             }))
+        (fun r -> E2cm_result r)
+  | Fera { interval; target_util } ->
+      let d = Fera.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params in
+      single
         {
-          configs = [| to_fera_config s |];
-          run_many = Fera.run_many;
-          wire =
-            Some
-              (fun cfg h ->
-                {
-                  cfg with
-                  Fera.control_channel =
-                    (match h.channel with
-                    | None -> cfg.Fera.control_channel
-                    | some -> some);
-                });
-          pack = single (fun r -> Fera_result r);
+          d with
+          Fera.initial_rate = initial_rate d.Fera.initial_rate;
+          control_delay = s.control_delay;
+          interval;
+          target_util;
         }
-  | Multihop _ ->
-      Runnable
+        Fera.run_many
+        (Some
+           (fun cfg h ->
+             {
+               cfg with
+               Fera.control_channel = channel h cfg.Fera.control_channel;
+             }))
+        (fun r -> Fera_result r)
+  | Multihop { c_a; c_b; n_long; n_short; strict_tagging } ->
+      let d = Multihop.default_config ~t_end:s.t_end ~n_long ~n_short s.params in
+      single
         {
-          configs = [| to_multihop_config s |];
-          run_many = Multihop.run_many;
-          wire = None;
-          pack = single (fun r -> Multihop_result r);
+          d with
+          Multihop.c_a;
+          c_b;
+          sample_dt = s.sample_dt;
+          initial_rate = initial_rate d.Multihop.initial_rate;
+          control_delay = s.control_delay;
+          strict_tagging;
         }
-  | Rcp _ ->
-      Runnable
+        Multihop.run_many None
+        (fun r -> Multihop_result r)
+  | Rcp { alpha; beta; interval; variant } ->
+      let d = Rcp.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params in
+      single
         {
-          configs = [| to_rcp_config s |];
-          run_many = Rcp.run_many;
-          wire =
-            Some
-              (fun cfg h ->
-                {
-                  cfg with
-                  Rcp.control_channel =
-                    (match h.channel with
-                    | None -> cfg.Rcp.control_channel
-                    | some -> some);
-                  on_setup = compose_setup h.setup cfg.Rcp.on_setup;
-                });
-          pack = single (fun r -> Rcp_result r);
+          d with
+          Rcp.initial_rate = initial_rate d.Rcp.initial_rate;
+          control_delay = s.control_delay;
+          alpha;
+          beta;
+          interval;
+          variant;
         }
+        Rcp.run_many
+        (Some
+           (fun cfg h ->
+             {
+               cfg with
+               Rcp.control_channel = channel h cfg.Rcp.control_channel;
+               on_setup = compose_setup h.setup cfg.Rcp.on_setup;
+             }))
+        (fun r -> Rcp_result r)
 
 (* ------------------------------------------------------------------ *)
 (* The protocol-agnostic view of an outcome                            *)

@@ -176,7 +176,8 @@ val validate : t -> t
 (** Returns the scenario unchanged or raises [Invalid_argument]:
     positive horizon/sampling period, [replicas >= 1] (and Bernoulli
     sampling when > 1), workloads/replicas restricted to the BCN model,
-    positive workload rates, valid fault plan ({!Fault_plan.validate}).
+    positive workload rates, a multihop second hop no faster than the
+    first ([c_b <= c_a]), valid fault plan ({!Fault_plan.validate}).
     Fault support follows what a model physically exposes: BCN takes
     any plan; RCP takes loss/delay/capacity (no blackout — there is no
     congestion point to black out); E2CM/FERA take channel faults only
@@ -215,9 +216,8 @@ val decode_exn : string -> t
     {!compile} is the single dispatch from scenario to execution: it
     validates, builds the per-model configs (workloads already wired for
     BCN), and packages the model's [run_many] together with a fault-hook
-    wiring function and a result packer. Callers that used to match on
-    {!model} and call [to_*_config] by hand now write one
-    model-independent loop:
+    wiring function and a result packer, so callers execute any model
+    with one model-independent loop:
 
     {[
       match Scenario.compile s with
@@ -297,41 +297,12 @@ val outcome_model : outcome -> string
 (** ["bcn"] / ["e2cm"] / ["fera"] / ["multihop"] / ["rcp"] — matches
     {!describe}'s leading token. *)
 
-(** {2 Per-model configs (execution layer)}
-
-    These build the raw config records. They do {e not} wire the fault
-    plan (an injector is executable state owned by one run —
-    [Faultnet.Exec] does that through {!compile}) nor, except through
-    {!compile}, the workloads. *)
-
-val to_runner_config : t -> Runner.config
-(** BCN scenarios only; raises [Invalid_argument] otherwise. Bernoulli
-    sampling is seeded from [seed].
-    @deprecated Use {!compile}; this remains for probe-level access to
-    the raw BCN config. *)
+(** {2 Raw BCN configs} *)
 
 val runner_configs : t -> Runner.config array
-(** One config per replica ([Runner.with_seed] at [seed + i]). Length
-    [replicas]. Unlike {!compile}'s [configs], workloads are not
-    wired. *)
-
-val to_e2cm_config : t -> E2cm.config
-(** @deprecated Use {!compile}. *)
-
-val to_fera_config : t -> Fera.config
-(** @deprecated Use {!compile}. *)
-
-val to_multihop_config : t -> Multihop.config
-(** @deprecated Use {!compile}. *)
-
-val of_runner_config : ?seed:int -> ?replicas:int -> Runner.config -> t
-(** Lift an execution config back to a scenario. Raises
-    [Invalid_argument] when the config is not pure data: an attached
-    [control_channel]/[on_setup] hook, or live [Switch.Bernoulli] RNG
-    state (use [?seed] with a [Deterministic]/[Timer] config and
-    {!with_replicas} instead). *)
-
-val start_workloads : t -> Engine.t -> Switch.t -> unit
-(** Instantiate the scenario's cross-traffic generators (flow ids
-    [params.n_flows], [n_flows + 1], ... in list order) and start them
-    against the switch — call from [Runner.config.on_setup]. *)
+(** One config per replica ([Runner.with_seed] at [seed + i] under
+    Bernoulli sampling), for probe-level access to the raw BCN configs.
+    Unlike {!compile}'s [configs], workloads are not wired, nor is the
+    fault plan (an injector is executable state owned by one run —
+    [Faultnet.Exec] wires it through {!compile}). Raises
+    [Invalid_argument] on a non-BCN scenario. *)

@@ -129,12 +129,8 @@ let start src e =
     src.probe <- Engine.probe e;
     rearm src;
     src.fs.last_integration <- Engine.now e;
-    (* stagger by id so N sources do not fire in lockstep at t = 0 *)
-    let jitter =
-      float_of_int Packet.data_frame_bits /. src.fs.rate
-      *. (float_of_int (src.id mod 97) /. 97.)
-    in
-    Engine.schedule e ~delay:jitter src.tick
+    Engine.schedule e ~delay:(Loop.stagger ~id:src.id ~rate:src.fs.rate)
+      src.tick
   end
 
 let handle_bcn src ~now ~fb ~cpid =

@@ -56,6 +56,7 @@ type t = {
   queue : Fifo.t;
   control_out : Engine.t -> Packet.t -> unit;
   mutable forward : (Engine.t -> Packet.t -> unit) option;
+  mutable on_accept : Engine.t -> int -> unit;
   mutable busy : bool;
   (* BCN congestion point live-enabled flag: [cfg.enable_bcn] at create,
      toggled by fault-injected blackouts *)
@@ -157,6 +158,7 @@ let create (cfg : config) ~control_out =
       queue = Fifo.create ~capacity_bits:cfg.buffer_bits;
       control_out;
       forward = None;
+      on_accept = (fun _ _ -> ());
       busy = false;
       bcn_active = cfg.enable_bcn;
       resume_level = cfg.pause_resume *. cfg.qsc;
@@ -188,6 +190,7 @@ let create (cfg : config) ~control_out =
   sw
 
 let set_forward sw f = sw.forward <- Some f
+let set_on_accept sw f = sw.on_accept <- f
 
 let set_egress_paused sw e on =
   sw.egress_paused <- on;
@@ -276,17 +279,19 @@ let receive sw e pkt =
       invalid_arg "Switch.receive: control frames do not enter the data path"
   | Packet.Data { flow; rrt } ->
       sw.last_flow <- flow;
-      sw.last_rrt <- rrt);
+      (* skip the write barrier when the tag is unchanged *)
+      if sw.last_rrt != rrt then sw.last_rrt <- rrt);
   let accepted = Fifo.enqueue sw.queue pkt in
   (if accepted then begin
      Telemetry.Probe.enqueue (Engine.probe e) ~t:(Engine.now e)
        ~q:(queue_bits sw)
        ~bits:(float_of_int pkt.Packet.bits)
        ~flow:sw.last_flow ~seq:pkt.Packet.seq;
-     if sw.bcn_active && should_sample sw then
-       match pkt.Packet.kind with
-       | Packet.Data { flow; rrt } -> sample sw e ~flow ~rrt
-       | Packet.Bcn _ | Packet.Pause _ -> ()
+     (if sw.bcn_active && should_sample sw then
+        match pkt.Packet.kind with
+        | Packet.Data { flow; rrt } -> sample sw e ~flow ~rrt
+        | Packet.Bcn _ | Packet.Pause _ -> ());
+     sw.on_accept e sw.last_flow
    end
    else begin
      (* tail drop: record before recycling — release rewrites the frame *)

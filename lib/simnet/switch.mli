@@ -86,6 +86,11 @@ val set_forward : t -> (Engine.t -> Packet.t -> unit) -> unit
 (** Where served data frames go (next hop or sink). Must be set before
     the first arrival. *)
 
+val set_on_accept : t -> (Engine.t -> int -> unit) -> unit
+(** A congestion-point law other than BCN's: called with the flow of
+    every data frame the queue accepts, after the BCN sampler and before
+    service resumes. Default: nothing. *)
+
 val receive : t -> Engine.t -> Packet.t -> unit
 (** Data-frame arrival. BCN/PAUSE frames must not be sent here. *)
 

@@ -47,117 +47,88 @@ type result = {
 let victim_scenario cfg =
   if cfg.n_hot < 1 then invalid_arg "Topology.victim_scenario: n_hot < 1";
   let p = cfg.params in
-  let e = Engine.create () in
+  let l =
+    Loop.create ~name:"Topology" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt
+      ~control_delay:cfg.control_delay ()
+  in
+  let e = Loop.engine l in
   let hot_delivered = ref 0. and victim_delivered = ref 0. in
-  let sources = Array.make (cfg.n_hot + 1) None in
+  let sources = ref [||] in
   let victim_id = cfg.n_hot in
   let pause_all on e =
-    Array.iter
-      (function Some s -> Source.set_paused s e on | None -> ())
-      sources
+    Array.iter (fun s -> Source.set_paused s e on) !sources
   in
-  (* Core switch: the bottleneck, runs the BCN congestion point. Its PAUSE
-     frames go to the edge-hot port, not to the sources. *)
-  let edge_hot_ref = ref None in
-  let core_cfg =
-    {
-      (Switch.default_config p ~cpid:1) with
-      Switch.enable_bcn = cfg.enable_bcn;
-      enable_pause = cfg.enable_pause;
-    }
+  (* Edge ports run at 4x the core speed so the core port is the
+     congestion point; the edge only congests when the core PAUSEs it. *)
+  let edge_port cpid ~dispatch =
+    Loop.switch l
+      {
+        (Switch.default_config p ~cpid) with
+        Switch.capacity = 4. *. p.Fluid.Params.capacity;
+        enable_bcn = false;
+        enable_pause = cfg.enable_pause;
+      }
+      ~dispatch
   in
-  let core =
-    Switch.create core_cfg ~control_out:(fun e pkt ->
-        Engine.schedule e ~delay:cfg.control_delay (fun e ->
-            match pkt.Packet.kind with
-            | Packet.Bcn { flow; fb; cpid } -> (
-                match sources.(flow) with
-                | Some src ->
-                    Source.handle_bcn src ~now:(Engine.now e) ~fb ~cpid
-                | None -> ())
-            | Packet.Pause { on } -> (
-                match !edge_hot_ref with
-                | Some edge -> Switch.set_egress_paused edge e on
-                | None -> ())
-            | Packet.Data _ -> ()))
-  in
-  Switch.set_forward core (fun _e pkt ->
-      hot_delivered := !hot_delivered +. float_of_int pkt.Packet.bits);
   (* Edge switch, hot port: plain forwarder (no congestion point of its
      own) feeding the core. When ITS queue passes the PAUSE threshold it
      pauses the shared ingress link — i.e. every source. *)
-  (* Edge ports run at 4x the core speed so the core port is the
-     congestion point; the edge only congests when the core PAUSEs it. *)
-  let edge_port_cfg cpid =
-    {
-      (Switch.default_config p ~cpid) with
-      Switch.capacity = 4. *. p.Fluid.Params.capacity;
-      enable_bcn = false;
-      enable_pause = cfg.enable_pause;
-    }
-  in
   let edge_hot =
-    Switch.create (edge_port_cfg 2) ~control_out:(fun e pkt ->
-        Engine.schedule e ~delay:cfg.control_delay (fun e ->
-            match pkt.Packet.kind with
-            | Packet.Pause { on } -> pause_all on e
-            | Packet.Bcn _ | Packet.Data _ -> ()))
+    edge_port 2 ~dispatch:(fun e pkt ->
+        match pkt.Packet.kind with
+        | Packet.Pause { on } -> pause_all on e
+        | Packet.Bcn _ | Packet.Data _ -> ())
   in
-  edge_hot_ref := Some edge_hot;
-  Switch.set_forward edge_hot (fun e pkt -> Switch.receive core e pkt);
   (* Edge switch, victim port: forwards straight to the victim sink and is
      never congested. *)
-  let edge_victim =
-    Switch.create (edge_port_cfg 3) ~control_out:(fun _e _pkt -> ())
-  in
-  Switch.set_forward edge_victim (fun _e pkt ->
+  let edge_victim = edge_port 3 ~dispatch:(fun _e _pkt -> ()) in
+  Loop.sink l edge_victim ~on_deliver:(fun _e pkt ->
       victim_delivered := !victim_delivered +. float_of_int pkt.Packet.bits);
+  (* Core switch: the bottleneck, runs the BCN congestion point. Its PAUSE
+     frames go to the edge-hot port, not to the sources. *)
+  let core =
+    Loop.switch l
+      {
+        (Switch.default_config p ~cpid:1) with
+        Switch.enable_bcn = cfg.enable_bcn;
+        enable_pause = cfg.enable_pause;
+      }
+      ~dispatch:(fun e pkt ->
+        match pkt.Packet.kind with
+        | Packet.Bcn { flow; fb; cpid } ->
+            Source.handle_bcn !sources.(flow) ~now:(Engine.now e) ~fb ~cpid
+        | Packet.Pause { on } -> Switch.set_egress_paused edge_hot e on
+        | Packet.Data _ -> ())
+  in
+  Loop.sink l core ~on_deliver:(fun _e pkt ->
+      hot_delivered := !hot_delivered +. float_of_int pkt.Packet.bits);
+  Switch.set_forward edge_hot (fun e pkt -> Switch.receive core e pkt);
   (* Sources: hot flows route to the hot port, the victim to its own. *)
-  for i = 0 to cfg.n_hot - 1 do
-    let src =
-      Source.create ~id:i ~initial_rate:cfg.initial_hot_rate
-        ~max_rate:p.Fluid.Params.capacity ~gi:p.Fluid.Params.gi
-        ~gd:p.Fluid.Params.gd ~ru:p.Fluid.Params.ru
-        ~send:(fun e pkt -> Switch.receive edge_hot e pkt)
-        ()
-    in
-    sources.(i) <- Some src;
-    Source.start src e
-  done;
-  let victim =
-    Source.create ~id:victim_id ~initial_rate:cfg.victim_rate
-      ~max_rate:cfg.victim_rate ~gi:p.Fluid.Params.gi ~gd:p.Fluid.Params.gd
-      ~ru:p.Fluid.Params.ru
-      ~send:(fun e pkt -> Switch.receive edge_victim e pkt)
-      ()
-  in
-  sources.(victim_id) <- Some victim;
-  Source.start victim e;
-  (* trace sampler *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let core_q = Array.make n_samples 0. in
-  let edge_q = Array.make n_samples 0. in
-  let idx = ref 0 in
+  sources :=
+    Array.init (victim_id + 1) (fun id ->
+        let hot = id < victim_id in
+        let rate = if hot then cfg.initial_hot_rate else cfg.victim_rate in
+        let port = if hot then edge_hot else edge_victim in
+        Source.create ~id ~initial_rate:rate
+          ~max_rate:(if hot then p.Fluid.Params.capacity else cfg.victim_rate)
+          ~pool:(Loop.pool l) ~gi:p.Fluid.Params.gi ~gd:p.Fluid.Params.gd
+          ~ru:p.Fluid.Params.ru
+          ~send:(fun e pkt -> Switch.receive port e pkt)
+          ());
+  Array.iter (fun src -> Source.start src e) !sources;
+  let victim = !sources.(victim_id) in
   let paused_samples = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      core_q.(!idx) <- Switch.queue_bits core;
-      edge_q.(!idx) <- Switch.queue_bits edge_hot;
-      if Source.is_paused victim then incr paused_samples;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
+  let tr =
+    Loop.trace l ~columns:2 (fun _e cols i ->
+        cols.(0).(i) <- Switch.queue_bits core;
+        cols.(1).(i) <- Switch.queue_bits edge_hot;
+        if Source.is_paused victim then incr paused_samples)
   in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  Loop.run l;
+  let m = Loop.samples tr in
   {
-    core_queue = Series.make (cut ts) (cut core_q);
-    edge_hot_queue = Series.make (cut ts) (cut edge_q);
+    core_queue = Loop.series tr 0;
+    edge_hot_queue = Loop.series tr 1;
     victim_delivered_bits = !victim_delivered;
     victim_goodput = !victim_delivered /. cfg.t_end;
     victim_offered = cfg.victim_rate;

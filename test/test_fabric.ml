@@ -218,6 +218,32 @@ let test_spec_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted"
 
+(* A multihop scenario whose second hop is the faster one must fail
+   validation up front: it used to decode and pass spec validation, and
+   then every fabric worker that claimed its range died inside
+   [Multihop.run], so the sweep never completed. *)
+let test_multihop_hop_order_rejected () =
+  let module S = Simnet.Scenario in
+  let p = Fluid.Params.default in
+  let doc =
+    Printf.sprintf
+      {|{"v":1,"model":{"kind":"multihop","c_a":1e9,"c_b":2e9},"params":%s}|}
+      (S.encode_params p)
+  in
+  (match S.decode doc with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decode accepted c_b > c_a");
+  let bad = S.multihop ~t_end:1e-3 ~c_a:1e9 ~c_b:2e9 p in
+  List.iter
+    (fun (label, spec) ->
+      match Spec.validate spec with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s spec with c_b > c_a validated" label)
+    [
+      ("explicit", Spec.Explicit [| bad |]);
+      ("seeds", Spec.Seeds { base = bad; first_seed = 0; count = 2 });
+    ]
+
 let test_seeds_expansion () =
   let base = tiny_base () in
   let seeds = Spec.Seeds { base; first_seed = 7; count = 3 } in
@@ -461,6 +487,8 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "range table shapes" `Quick test_ranges;
+          Alcotest.test_case "multihop c_b > c_a rejected" `Quick
+            test_multihop_hop_order_rejected;
           Alcotest.test_case "encode/decode round-trip" `Quick
             test_spec_roundtrip;
           Alcotest.test_case "Seeds = Explicit of with_seed" `Quick
